@@ -16,26 +16,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
+	"github.com/hunter-cdb/hunter/internal/cli"
 	"github.com/hunter-cdb/hunter/internal/cloud"
 	"github.com/hunter-cdb/hunter/internal/metrics"
 	"github.com/hunter-cdb/hunter/internal/simdb"
-	"github.com/hunter-cdb/hunter/internal/telemetry"
-	"github.com/hunter-cdb/hunter/internal/workload"
 )
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	var (
@@ -46,18 +37,34 @@ func main() {
 		repeat   = flag.Int("repeat", 1, "run the stress test N times and report mean/stddev throughput")
 		status   = flag.Bool("status", false, "dump the full SHOW STATUS metric snapshot")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and sample runtime stats every second")
-		mout     = flag.String("metrics-out", "", "write the counter/gauge exposition to this file")
-		report   = flag.String("report", "", "write the run report (JSON) to this file")
 		compress = flag.Bool("compress", false, "stress-test the compressed workload (production: clustered kernel; others: fractional measurement effort)")
-		sets     multiFlag
+		sets     = cli.Repeated[cli.Assign]{Parse: cli.ParseAssign}
+		obs      cli.Observe
 	)
 	flag.Var(&sets, "set", "override a knob: name=value (repeatable)")
+	obs.Register(flag.CommandLine, cli.Metrics|cli.Report)
 	flag.Parse()
 
-	var rec *telemetry.Recorder
-	if *pprofOn != "" || *mout != "" || *report != "" {
-		rec = telemetry.New()
+	dialect, err := cli.ParseDialect(*db)
+	cli.Check(err)
+	p, kernel, err := cli.Workload(*wl, *compress)
+	cli.Check(err)
+	it, err := cloud.TypeByName(*instance)
+	cli.Check(err)
+	eng, err := simdb.NewEngine(dialect, it.Resources(), *seed)
+	cli.Check(err)
+	cfg := eng.Catalog().Defaults()
+	for _, s := range sets.Values {
+		if _, ok := eng.Catalog().Spec(s.Name); !ok {
+			cli.Fatalf("unknown knob %q for %s", s.Name, dialect)
+		}
+		cfg[s.Name] = s.Value
 	}
+	if err := eng.Configure(cfg); err != nil {
+		cli.Fatalf("instance failed to boot: %v", err)
+	}
+
+	obs.Open(*pprofOn != "")
 	if *pprofOn != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofOn, nil); err != nil {
@@ -68,73 +75,19 @@ func main() {
 		// inspects /debug/pprof. Exits with the process.
 		go func() {
 			for range time.Tick(time.Second) {
-				rec.CaptureRuntime()
+				obs.Recorder.CaptureRuntime()
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", *pprofOn)
 	}
-
-	dialect := simdb.MySQL
-	if *db == "postgres" || *db == "postgresql" {
-		dialect = simdb.Postgres
+	if kernel != nil {
+		fmt.Fprintf(os.Stderr, "compressed kernel: %d trace clusters → %d classes (%.0f%% coverage), measure fraction %.2f\n",
+			kernel.Clusters, kernel.Kept, 100*kernel.Coverage, p.MeasureFraction)
 	}
-	var p *workload.Profile
-	switch *wl {
-	case "tpcc":
-		p = workload.TPCC()
-	case "sysbench-ro":
-		p = workload.SysbenchRO()
-	case "sysbench-wo":
-		p = workload.SysbenchWO()
-	case "sysbench-rw":
-		p = workload.SysbenchRW()
-	case "production":
-		p = workload.Production()
-	default:
-		fatalf("unknown workload %q", *wl)
-	}
-	if *compress {
-		if *wl == "production" {
-			k := workload.CompressProduction()
-			p = k.Profile
-			fmt.Fprintf(os.Stderr, "compressed kernel: %d trace clusters → %d classes (%.0f%% coverage), measure fraction %.2f\n",
-				k.Clusters, k.Kept, 100*k.Coverage, p.MeasureFraction)
-		} else {
-			p = p.WithMeasureFraction(0.25)
-		}
-	}
-	it, err := cloud.TypeByName(*instance)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	eng, err := simdb.NewEngine(dialect, it.Resources(), *seed)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg := eng.Catalog().Defaults()
-	for _, s := range sets {
-		name, val, ok := strings.Cut(s, "=")
-		if !ok {
-			fatalf("bad -set %q, want name=value", s)
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			fatalf("bad -set value %q: %v", val, err)
-		}
-		if _, ok := eng.Catalog().Spec(name); !ok {
-			fatalf("unknown knob %q for %s", name, dialect)
-		}
-		cfg[name] = v
-	}
-	if err := eng.Configure(cfg); err != nil {
-		fatalf("instance failed to boot: %v", err)
-	}
-	eng.SetRecorder(rec)
+	eng.SetRecorder(obs.Recorder)
 
 	perf, mv, err := eng.Run(p)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cli.Check(err)
 	fmt.Printf("%s / %s on CDB_%s (%d cores, %d GB RAM)\n", dialect, p.Name, it.Name, it.Cores, it.RAMGB)
 	fmt.Printf("  throughput: %9.0f txn/s (%8.0f txn/min)\n", perf.ThroughputTPS, perf.TPM())
 	fmt.Printf("  latency:    avg %6.1f ms   p95 %6.1f ms   p99 %6.1f ms\n",
@@ -150,23 +103,17 @@ func main() {
 		tps = append(tps, perf.ThroughputTPS)
 		for i := 1; i < *repeat; i++ {
 			rp, _, err := eng.Run(p)
-			if err != nil {
-				fatalf("%v", err)
-			}
+			cli.Check(err)
 			tps = append(tps, rp.ThroughputTPS)
 		}
 		mean, sd := meanStddev(tps)
 		fmt.Printf("  repeated %d×: throughput mean %9.0f txn/s  stddev %7.1f txn/s (%.2f%%)\n",
 			*repeat, mean, sd, 100*sd/mean)
 	}
-	if err := exportTelemetry(rec, *mout, *report); err != nil {
-		fatalf("%v", err)
-	}
+	cli.Check(obs.Export())
 	if *status {
 		fmt.Println("\nSHOW STATUS:")
-		if err := metrics.FormatStatus(os.Stdout, mv); err != nil {
-			fatalf("%v", err)
-		}
+		cli.Check(metrics.FormatStatus(os.Stdout, mv))
 		return
 	}
 	fmt.Println("\nselected status metrics (per execution window):")
@@ -178,38 +125,6 @@ func main() {
 	} {
 		fmt.Printf("  %-32s %14.0f\n", metrics.Name(i), mv[i])
 	}
-}
-
-// exportTelemetry writes the requested telemetry artifacts. No-op when the
-// recorder was never enabled.
-func exportTelemetry(rec *telemetry.Recorder, metricsOut, reportOut string) error {
-	if rec == nil {
-		return nil
-	}
-	rec.CaptureParallel()
-	rec.CaptureRuntime()
-	write := func(path string, emit func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, rec.WriteText); err != nil {
-			return err
-		}
-	}
-	if reportOut != "" {
-		if err := write(reportOut, rec.WriteReport); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func meanStddev(xs []float64) (mean, sd float64) {
@@ -226,9 +141,4 @@ func meanStddev(xs []float64) (mean, sd float64) {
 		ss += d * d
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

@@ -16,16 +16,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"time"
 
+	"github.com/hunter-cdb/hunter/internal/cli"
 	"github.com/hunter-cdb/hunter/internal/fleet"
-	"github.com/hunter-cdb/hunter/internal/obsv"
 	"github.com/hunter-cdb/hunter/internal/parallel"
-	"github.com/hunter-cdb/hunter/internal/telemetry"
 )
 
 func main() {
@@ -42,17 +40,19 @@ func main() {
 		ckptEvry = flag.Int("checkpoint-every", 1, "rounds between snapshots")
 		resume   = flag.Bool("resume", false, "continue the fleet from the snapshot in -checkpoint-dir")
 		stopAt   = flag.Int("stop-after-rounds", 0, "checkpoint and stop after this many rounds (interruption testing)")
-		serve    = flag.String("serve", "", "serve the live introspection plane (/metrics /status /sessions /events) on this address")
-		linger   = flag.Duration("serve-linger", 0, "keep the introspection server up this long after the run finishes")
 		report   = flag.String("report", "", "write the fleet report (JSON) to this file")
-		metrics  = flag.String("metrics-out", "", "write the counter/gauge exposition to this file")
-		verbose  = flag.Bool("v", false, "stream structured fleet logs to stderr")
+		obs      cli.Observe
 	)
+	obs.Register(flag.CommandLine, cli.Verbose|cli.Metrics|cli.Serve)
 	flag.Parse()
 
+	if *resume && *ckptDir == "" {
+		cli.Fatalf("-resume needs -checkpoint-dir")
+	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}
+	obs.Open(false)
 	cfg := fleet.Config{
 		Tenants: fleet.SyntheticTenants(*tenants, *seed),
 		Reuse:   *reuse,
@@ -66,35 +66,9 @@ func main() {
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvry,
 		StopAfterRounds: *stopAt,
-	}
-	if *verbose {
-		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	}
-	var rec *telemetry.Recorder
-	if *serve != "" || *metrics != "" {
-		rec = telemetry.New()
-		cfg.Recorder = rec
-	}
-	if *serve != "" {
-		reg := obsv.NewRegistry()
-		cfg.Status = reg
-		srv := obsv.NewServer(rec, reg)
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fatalf("introspection server: %v", err)
-		}
-		// Banner on stderr: stdout stays byte-identical with -serve off.
-		fmt.Fprintf(os.Stderr, "introspection plane on http://%s (/metrics /status /sessions /events)\n", addr)
-		defer func() {
-			if *linger > 0 {
-				fmt.Fprintf(os.Stderr, "introspection server lingering %v on http://%s\n", *linger, addr)
-				time.Sleep(*linger)
-			}
-			srv.Close()
-		}()
-	}
-	if *resume && *ckptDir == "" {
-		fatalf("-resume needs -checkpoint-dir")
+		Recorder:        obs.Recorder,
+		Status:          obs.Status,
+		Logger:          obs.Logger,
 	}
 
 	var f *fleet.Fleet
@@ -104,9 +78,9 @@ func main() {
 	} else {
 		f, err = fleet.New(cfg)
 	}
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cli.Check(err)
+	cli.Check(obs.Serve())
+	defer obs.Close()
 	fmt.Fprintf(os.Stderr, "fleet: %d tenants, reuse=%v, max-active %d, workers %d\n",
 		*tenants, *reuse, *active, parallel.Workers())
 
@@ -117,11 +91,7 @@ func main() {
 	runErr := f.Run(ctx)
 	wall := time.Since(start)
 
-	if *metrics != "" {
-		if werr := writeMetrics(rec, *metrics); werr != nil {
-			fatalf("%v", werr)
-		}
-	}
+	cli.Check(obs.Export())
 	switch {
 	case errors.Is(runErr, fleet.ErrStopRequested):
 		fmt.Printf("fleet stopped at round %d after checkpoint\n", f.Rounds())
@@ -136,34 +106,15 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		return
 	case runErr != nil:
-		fatalf("%v", runErr)
+		cli.Fatalf("%v", runErr)
 	}
 
 	r := f.Report()
 	r.Render(os.Stdout)
 	if *report != "" {
-		if err := r.WriteJSON(*report); err != nil {
-			fatalf("%v", err)
-		}
+		cli.Check(r.WriteJSON(*report))
 		fmt.Fprintf(os.Stderr, "fleet report written to %s\n", *report)
 	}
 	fmt.Fprintf(os.Stderr, "wall time %s (%.1f sessions/s)\n",
 		wall.Round(time.Millisecond), float64(r.Done+r.Failed)/wall.Seconds())
-}
-
-func writeMetrics(rec *telemetry.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteText(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

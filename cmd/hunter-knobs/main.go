@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"github.com/hunter-cdb/hunter"
+	"github.com/hunter-cdb/hunter/internal/cli"
 )
 
 func main() {
@@ -21,13 +22,9 @@ func main() {
 	)
 	flag.Parse()
 
-	dialect := hunter.MySQL
-	switch *db {
-	case "mysql":
-	case "postgres", "postgresql":
-		dialect = hunter.Postgres
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dialect %q\n", *db)
+	dialect, err := cli.ParseDialect(*db)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -19,38 +19,32 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strings"
 	"time"
 
+	"github.com/hunter-cdb/hunter/internal/cli"
 	"github.com/hunter-cdb/hunter/internal/experiments"
-	"github.com/hunter-cdb/hunter/internal/obsv"
 	"github.com/hunter-cdb/hunter/internal/parallel"
-	"github.com/hunter-cdb/hunter/internal/telemetry"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "comma-separated experiment ids to run (empty = all)")
-		scale      = flag.Float64("scale", 1.0, "virtual-time budget scale (1 = paper scale)")
-		seed       = flag.Int64("seed", 2022, "random seed")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		par        = flag.Bool("parallel", true, "overlap independent sessions and experiments across CPU cores (output is byte-identical either way)")
-		workers    = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-		verbose    = flag.Bool("v", false, "stream structured session logs to stderr")
-		traceOut   = flag.String("trace", "", "write the span trace to this file (.json = Chrome trace_event format, else JSONL)")
-		metricsOut = flag.String("metrics-out", "", "write the counter/gauge exposition to this file")
-		reportOut  = flag.String("report", "", "write the run report (JSON) to this file")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory the resume experiment keeps its snapshot in (default: a temp dir)")
-		ckptEvry   = flag.Int("checkpoint-every", 1, "stress waves between snapshots in the resume experiment")
-		resume     = flag.Bool("resume", false, "make the resume experiment continue the snapshot in -checkpoint-dir instead of re-running its golden and kill legs")
-		stopAt     = flag.Int("stop-after-waves", 0, "wave the resume experiment kills its session at (0 = default)")
-		chProf     = flag.String("chaos-profile", "", "fault-injection profile the chaos experiment arms (default: flaky)")
-		chSeed     = flag.Int64("chaos-seed", 0, "fault-plan seed for the chaos experiment (0 = default)")
-		serve      = flag.String("serve", "", "serve the live introspection plane (/metrics /status /sessions /events) on this address, e.g. 127.0.0.1:8377")
-		linger     = flag.Duration("serve-linger", 0, "keep the introspection server up this long after the experiments finish")
+		exp      = flag.String("exp", "", "comma-separated experiment ids to run (empty = all)")
+		scale    = flag.Float64("scale", 1.0, "virtual-time budget scale (1 = paper scale)")
+		seed     = flag.Int64("seed", 2022, "random seed")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		par      = flag.Bool("parallel", true, "overlap independent sessions and experiments across CPU cores (output is byte-identical either way)")
+		workers  = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory the resume experiment keeps its snapshot in (default: a temp dir)")
+		ckptEvry = flag.Int("checkpoint-every", 1, "stress waves between snapshots in the resume experiment")
+		resume   = flag.Bool("resume", false, "make the resume experiment continue the snapshot in -checkpoint-dir instead of re-running its golden and kill legs")
+		stopAt   = flag.Int("stop-after-waves", 0, "wave the resume experiment kills its session at (0 = default)")
+		chProf   = flag.String("chaos-profile", "", "fault-injection profile the chaos experiment arms (default: flaky)")
+		chSeed   = flag.Int64("chaos-seed", 0, "fault-plan seed for the chaos experiment (0 = default)")
+		obs      cli.Observe
 	)
+	obs.Register(flag.CommandLine, cli.Verbose|cli.Trace|cli.Metrics|cli.Report|cli.Serve)
 	flag.Parse()
 
 	if *list {
@@ -60,48 +54,7 @@ func main() {
 		return
 	}
 
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
-	var rec *telemetry.Recorder
-	if *traceOut != "" || *metricsOut != "" || *reportOut != "" || *serve != "" {
-		rec = telemetry.New()
-	}
-	var logger *slog.Logger
-	if *verbose {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	}
-	var status *obsv.Registry
-	if *serve != "" {
-		status = obsv.NewRegistry()
-		srv := obsv.NewServer(rec, status)
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "introspection server:", err)
-			os.Exit(1)
-		}
-		// Banner goes to stderr: stdout stays byte-identical with -serve off.
-		fmt.Fprintf(os.Stderr, "introspection plane on http://%s (/metrics /status /sessions /events)\n", addr)
-		defer func() {
-			if *linger > 0 {
-				fmt.Fprintf(os.Stderr, "introspection server lingering %v on http://%s\n", *linger, addr)
-				time.Sleep(*linger)
-			}
-			srv.Close()
-		}()
-	}
-	cfg := experiments.Config{
-		Scale: *scale, Seed: *seed, SerialSessions: !*par,
-		Recorder: rec, Logger: logger,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvry,
-		StopAfterWaves: *stopAt, ResumeOnly: *resume,
-		ChaosProfile: *chProf, ChaosSeed: *chSeed,
-	}
-	if status != nil {
-		// Assigned only when serving: a nil *Registry in the interface field
-		// would read as a non-nil sink.
-		cfg.Status = status
-	}
+	// Input errors exit 2, like flag errors.
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs -checkpoint-dir")
 		os.Exit(2)
@@ -117,6 +70,20 @@ func main() {
 			}
 			runners = append(runners, r)
 		}
+	}
+
+	if *workers > 0 {
+		parallel.SetWorkers(*workers)
+	}
+	obs.Open(false)
+	cli.Check(obs.Serve())
+	defer obs.Close()
+	cfg := experiments.Config{
+		Scale: *scale, Seed: *seed, SerialSessions: !*par,
+		Recorder: obs.Recorder, Logger: obs.Logger, Status: obs.Status,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvry,
+		StopAfterWaves: *stopAt, ResumeOnly: *resume,
+		ChaosProfile: *chProf, ChaosSeed: *chSeed,
 	}
 
 	banner := func(r experiments.Runner) {
@@ -170,53 +137,9 @@ func main() {
 		}
 	}
 
-	if err := exportTelemetry(rec, *traceOut, *metricsOut, *reportOut); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Check(obs.Export())
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "hunter-repro: %d of %d experiments failed\n", failures, len(runners))
 		os.Exit(1)
 	}
-}
-
-// exportTelemetry snapshots the runtime/fork-join gauges and writes the
-// requested artifacts. No-op when telemetry was not enabled.
-func exportTelemetry(rec *telemetry.Recorder, traceOut, metricsOut, reportOut string) error {
-	if rec == nil {
-		return nil
-	}
-	rec.CaptureParallel()
-	rec.CaptureRuntime()
-	write := func(path string, emit func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if traceOut != "" {
-		emit := rec.WriteTrace
-		if strings.HasSuffix(traceOut, ".json") {
-			emit = rec.WriteChromeTrace
-		}
-		if err := write(traceOut, emit); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, rec.WriteText); err != nil {
-			return err
-		}
-	}
-	if reportOut != "" {
-		if err := write(reportOut, rec.WriteReport); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -12,23 +12,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/hunter-cdb/hunter"
+	"github.com/hunter-cdb/hunter/internal/cli"
+	"github.com/hunter-cdb/hunter/internal/simdb"
 )
-
-// multiFlag collects repeated -fix / -range options.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	var (
@@ -40,10 +34,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		alpha    = flag.Float64("alpha", 0.5, "throughput/latency preference in [0,1]")
 		outFile  = flag.String("out", "", "write the recommended configuration to this file (my.cnf / postgresql.conf syntax)")
-		verbose  = flag.Bool("v", false, "stream structured session logs to stderr")
-		traceOut = flag.String("trace", "", "write the span trace to this file (.json = Chrome trace_event format, else JSONL)")
-		metrics  = flag.String("metrics-out", "", "write the counter/gauge exposition to this file")
-		report   = flag.String("report", "", "write the run report (JSON) to this file")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for durable run snapshots (enables checkpointing)")
 		ckptEvry = flag.Int("checkpoint-every", 1, "stress waves between snapshots")
 		resume   = flag.Bool("resume", false, "continue the run from the snapshot in -checkpoint-dir")
@@ -51,8 +41,6 @@ func main() {
 		chProf   = flag.String("chaos-profile", "off", "fault-injection profile: off | mild | flaky | catastrophic")
 		chSeed   = flag.Int64("chaos-seed", 1, "fault-plan seed (only meaningful with -chaos-profile)")
 		compress = flag.Bool("compress", false, "evaluation cost collapse: compressed workload kernel + wave dedup + warm-state deltas")
-		serve    = flag.String("serve", "", "serve the live introspection plane (/metrics /status /sessions /events) on this address, e.g. 127.0.0.1:8377")
-		linger   = flag.Duration("serve-linger", 0, "keep the introspection server up this long after the run finishes (for scraping final state)")
 		online   = flag.Bool("online", false, "deploy improving candidates to the serving instance during the run (naive online tuning)")
 		guard    = flag.Bool("guardrails", false, "arm the online safety loop: canary gate, trust region, SLO monitor, automatic rollback (implies -online)")
 		sloP99   = flag.Duration("slo-p99", 0, "p99 latency SLO ceiling for the deployed config, e.g. 80ms (0 = off)")
@@ -62,11 +50,13 @@ func main() {
 		dPeriod  = flag.Duration("drift-period", 0, "drift stream period (default 12h)")
 		dEvents  = flag.Int("drift-events", 0, "drift events per stream period (default 6)")
 		dSeed    = flag.Int64("drift-seed", 0, "drift stream seed (default: -seed)")
-		fixes    multiFlag
-		ranges   multiFlag
+		fixes    = cli.Repeated[cli.Assign]{Parse: cli.ParseAssign}
+		ranges   = cli.Repeated[cli.Range]{Parse: cli.ParseRange}
+		obs      cli.Observe
 	)
 	flag.Var(&fixes, "fix", "fix a knob: name=value (repeatable)")
 	flag.Var(&ranges, "range", "restrict a knob: name=min:max (repeatable)")
+	obs.Register(flag.CommandLine, cli.Verbose|cli.Trace|cli.Metrics|cli.Report|cli.Serve)
 	flag.Parse()
 
 	req := hunter.Request{
@@ -74,31 +64,16 @@ func main() {
 		Clones: *clones,
 		Seed:   *seed,
 	}
-	if *verbose {
-		req.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	var err error
+	req.Dialect, err = cli.ParseDialect(*db)
+	cli.Check(err)
+	req.Workload, _, err = cli.Workload(*wl, *compress)
+	cli.Check(err)
+	if *compress {
+		req.Eval = &hunter.EvalOptions{DedupWaves: true, WarmStateDeltas: true}
 	}
-	if *traceOut != "" || *metrics != "" || *report != "" || *serve != "" {
-		req.Recorder = hunter.NewRecorder()
-	}
-	var obsrv *hunter.IntrospectionServer
-	if *serve != "" {
-		reg := hunter.NewStatusRegistry()
-		req.Status = reg
-		obsrv = hunter.NewIntrospectionServer(req.Recorder, reg)
-		addr, err := obsrv.Start(*serve)
-		if err != nil {
-			fatalf("introspection server: %v", err)
-		}
-		// Banner goes to stderr: stdout stays byte-identical with -serve off.
-		fmt.Fprintf(os.Stderr, "introspection plane on http://%s (/metrics /status /sessions /events)\n", addr)
-		defer func() {
-			if *linger > 0 {
-				fmt.Fprintf(os.Stderr, "introspection server lingering %v on http://%s\n", *linger, addr)
-				time.Sleep(*linger)
-			}
-			obsrv.Close()
-		}()
-	}
+	req.Type, err = hunter.InstanceTypeByName(*instance)
+	cli.Check(err)
 	if *ckptDir != "" || *stopAt > 0 {
 		req.Checkpoint = &hunter.CheckpointPolicy{
 			Dir:            *ckptDir,
@@ -107,12 +82,10 @@ func main() {
 		}
 	}
 	if *resume && *ckptDir == "" {
-		fatalf("-resume needs -checkpoint-dir")
+		cli.Fatalf("-resume needs -checkpoint-dir")
 	}
 	profile, err := hunter.ChaosProfileByName(*chProf)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cli.Check(err)
 	if profile.Enabled() {
 		req.Chaos = &hunter.ChaosPlan{Seed: *chSeed, Profile: profile}
 	}
@@ -125,6 +98,7 @@ func main() {
 			SLOP99Ms:    float64(*sloP99) / float64(time.Millisecond),
 			SLOFloorTPS: *sloTPS,
 		}
+		cli.Check(req.Safety.Validate())
 	}
 	if *dStream != "" {
 		streamSeed := *dSeed
@@ -137,75 +111,22 @@ func main() {
 			Events: *dEvents,
 			Seed:   streamSeed,
 		}
+		_, err = hunter.GenerateDriftStream(req.Workload, *req.DriftStream)
+		cli.Check(err)
 	}
-	switch *db {
-	case "mysql":
-		req.Dialect = hunter.MySQL
-	case "postgres", "postgresql":
-		req.Dialect = hunter.Postgres
-	default:
-		fatalf("unknown dialect %q", *db)
+	req.Rules = hunter.NewRules().SetAlpha(*alpha)
+	for _, f := range fixes.Values {
+		req.Rules.Fix(f.Name, f.Value)
 	}
-	switch *wl {
-	case "tpcc":
-		req.Workload = hunter.TPCC()
-	case "sysbench-ro":
-		req.Workload = hunter.SysbenchRO()
-	case "sysbench-wo":
-		req.Workload = hunter.SysbenchWO()
-	case "sysbench-rw":
-		req.Workload = hunter.SysbenchRW()
-	case "production":
-		req.Workload = hunter.Production()
-	default:
-		fatalf("unknown workload %q", *wl)
+	for _, r := range ranges.Values {
+		req.Rules.Range(r.Name, r.Lo, r.Hi)
 	}
-	if *compress {
-		// Production compresses into a clustered kernel; the synthetic
-		// benchmarks keep their (already compact) mix and just measure at
-		// a fraction of the full stress-test effort.
-		if *wl == "production" {
-			req.Workload = hunter.CompressedProduction()
-		} else {
-			req.Workload = hunter.CompressWorkload(req.Workload, 0.25)
-		}
-		req.Eval = &hunter.EvalOptions{DedupWaves: true, WarmStateDeltas: true}
-	}
-	it, err := hunter.InstanceTypeByName(*instance)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	req.Type = it
+	cli.Check(req.Rules.Validate(simdb.Catalog(req.Dialect)))
 
-	rules := hunter.NewRules().SetAlpha(*alpha)
-	for _, f := range fixes {
-		name, val, ok := strings.Cut(f, "=")
-		if !ok {
-			fatalf("bad -fix %q, want name=value", f)
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			fatalf("bad -fix value %q: %v", val, err)
-		}
-		rules.Fix(name, v)
-	}
-	for _, r := range ranges {
-		name, span, ok := strings.Cut(r, "=")
-		if !ok {
-			fatalf("bad -range %q, want name=min:max", r)
-		}
-		loS, hiS, ok := strings.Cut(span, ":")
-		if !ok {
-			fatalf("bad -range span %q, want min:max", span)
-		}
-		lo, err1 := strconv.ParseFloat(loS, 64)
-		hi, err2 := strconv.ParseFloat(hiS, 64)
-		if err1 != nil || err2 != nil {
-			fatalf("bad -range bounds %q", span)
-		}
-		rules.Range(name, lo, hi)
-	}
-	req.Rules = rules
+	obs.Open(false)
+	req.Logger, req.Recorder, req.Status = obs.Logger, obs.Recorder, obs.Status
+	cli.Check(obs.Serve())
+	defer obs.Close()
 
 	// Ctrl-C stops the run at the next stress-test boundary; the best
 	// configuration found so far is still deployed and reported.
@@ -214,22 +135,18 @@ func main() {
 
 	var res *hunter.Result
 	if *resume {
-		wave, clock, perr := hunter.PeekCheckpoint(*ckptDir)
-		if perr != nil {
-			fatalf("%v", perr)
-		}
+		wave, clock, err := hunter.PeekCheckpoint(*ckptDir)
+		cli.Check(err)
 		fmt.Printf("resuming %s / %s from wave %d (%.1f h on the clock)...\n",
 			*db, req.Workload.Name, wave, clock.Hours())
 		res, err = hunter.ResumeContext(ctx, req)
 	} else {
 		fmt.Printf("tuning %s / %s on type %s, budget %v, %d clone(s)...\n",
-			*db, req.Workload.Name, it.Name, *budget, *clones)
+			*db, req.Workload.Name, req.Type.Name, *budget, *clones)
 		res, err = hunter.TuneContext(ctx, req)
 	}
 	// Export telemetry before failing so a broken run still leaves a trace.
-	if eerr := exportTelemetry(req.Recorder, *traceOut, *metrics, *report); eerr != nil {
-		fatalf("%v", eerr)
-	}
+	cli.Check(obs.Export())
 	if errors.Is(err, hunter.ErrStopRequested) {
 		reportCheckpoint(os.Stdout, *ckptDir, "run stopped at the requested wave")
 		return
@@ -240,9 +157,7 @@ func main() {
 		fmt.Println("\nWARNING: entire clone fleet lost to faults — result falls back to the baseline configuration")
 		err = nil
 	}
-	if err != nil {
-		fatalf("%v", err)
-	}
+	cli.Check(err)
 	if ctx.Err() != nil && *ckptDir != "" {
 		reportCheckpoint(os.Stderr, *ckptDir, "interrupted — partial result below")
 	}
@@ -263,16 +178,9 @@ func main() {
 	}
 
 	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := hunter.WriteConfigFile(f, req.Dialect, res.Best); err != nil {
-			fatalf("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
+		cli.Check(cli.WriteFile(*outFile, func(w io.Writer) error {
+			return hunter.WriteConfigFile(w, req.Dialect, res.Best)
+		}))
 		fmt.Printf("full configuration written to %s\n\n", *outFile)
 	}
 
@@ -300,50 +208,4 @@ func reportCheckpoint(w io.Writer, dir, why string) {
 		why, filepath.Join(dir, hunter.CheckpointFileName), wave, clock.Hours())
 	fmt.Fprintf(w, "continue with:  %s -resume -checkpoint-dir %s  <same tuning flags>\n",
 		os.Args[0], dir)
-}
-
-// exportTelemetry writes the requested telemetry artifacts. No-op when the
-// recorder was never enabled.
-func exportTelemetry(rec *hunter.Recorder, traceOut, metricsOut, reportOut string) error {
-	if rec == nil {
-		return nil
-	}
-	rec.CaptureParallel()
-	rec.CaptureRuntime()
-	write := func(path string, emit func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if traceOut != "" {
-		emit := rec.WriteTrace
-		if strings.HasSuffix(traceOut, ".json") {
-			emit = rec.WriteChromeTrace
-		}
-		if err := write(traceOut, emit); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, rec.WriteText); err != nil {
-			return err
-		}
-	}
-	if reportOut != "" {
-		if err := write(reportOut, rec.WriteReport); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

@@ -393,25 +393,18 @@ func TuneContext(ctx context.Context, req Request) (*Result, error) {
 	if req.Workload == nil {
 		return nil, fmt.Errorf("hunter: request needs a workload")
 	}
+	drifts, err := driftSchedule(req)
+	if err != nil {
+		return nil, err
+	}
 	s, err := tuner.NewSessionContext(ctx, toTunerRequest(req))
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	if req.DriftTo != nil {
-		if err := s.ScheduleDrift(req.DriftAfter, req.DriftTo); err != nil {
+	for _, ev := range drifts {
+		if err := s.ScheduleDrift(ev.At, ev.Profile); err != nil {
 			return nil, err
-		}
-	}
-	if req.DriftStream != nil {
-		events, err := workload.GenerateStream(req.Workload, *req.DriftStream)
-		if err != nil {
-			return nil, err
-		}
-		for _, ev := range events {
-			if err := s.ScheduleDrift(ev.At, ev.Profile); err != nil {
-				return nil, err
-			}
 		}
 	}
 	h := newCore(req)
@@ -438,6 +431,10 @@ func ResumeContext(ctx context.Context, req Request) (*Result, error) {
 	if req.Checkpoint == nil || req.Checkpoint.Dir == "" {
 		return nil, fmt.Errorf("hunter: Resume needs Checkpoint.Dir")
 	}
+	drifts, err := driftSchedule(req)
+	if err != nil {
+		return nil, err
+	}
 	path := filepath.Join(req.Checkpoint.Dir, CheckpointFileName)
 	s, f, err := tuner.ResumeSession(ctx, toTunerRequest(req), path)
 	if err != nil {
@@ -445,20 +442,9 @@ func ResumeContext(ctx context.Context, req Request) (*Result, error) {
 	}
 	defer s.Close()
 	// The drift queue rides the checkpoint; verify it matches the schedule
-	// this request would program on a fresh run, so a resume cannot
-	// silently continue under different drift plans.
-	expected := make([]DriftEvent, 0, 8)
-	if req.DriftTo != nil {
-		expected = append(expected, DriftEvent{At: req.DriftAfter, Profile: req.DriftTo})
-	}
-	if req.DriftStream != nil {
-		events, serr := workload.GenerateStream(req.Workload, *req.DriftStream)
-		if serr != nil {
-			return nil, serr
-		}
-		expected = append(expected, events...)
-	}
-	if err := s.VerifyScheduledDrifts(expected); err != nil {
+	// a fresh run of this request programs, so a resume cannot silently
+	// continue under different drift plans.
+	if err := s.VerifyScheduledDrifts(drifts); err != nil {
 		return nil, err
 	}
 	h := newCore(req)
@@ -469,6 +455,23 @@ func ResumeContext(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	return finish(s, h)
+}
+
+// driftSchedule expands the request's drifts in the order a fresh run
+// schedules them: DriftAfter/DriftTo first, then the DriftStream events.
+func driftSchedule(req Request) ([]DriftEvent, error) {
+	var drifts []DriftEvent
+	if req.DriftTo != nil {
+		drifts = append(drifts, DriftEvent{At: req.DriftAfter, Profile: req.DriftTo})
+	}
+	if req.DriftStream != nil {
+		events, err := workload.GenerateStream(req.Workload, *req.DriftStream)
+		if err != nil {
+			return nil, err
+		}
+		drifts = append(drifts, events...)
+	}
+	return drifts, nil
 }
 
 // toTunerRequest lowers the public request into the session request.
@@ -564,32 +567,19 @@ func baselineResult(s *tuner.Session) *Result {
 
 // Catalog returns the knob catalog for a dialect (name, kind, range,
 // default, restart requirement of every knob).
-func Catalog(d Dialect) []knob.Spec {
-	if d == Postgres {
-		return knob.Postgres().Specs()
-	}
-	return knob.MySQL().Specs()
-}
+func Catalog(d Dialect) []knob.Spec { return simdb.Catalog(d).Specs() }
 
 // WriteConfigFile renders a configuration in the dialect's native
 // configuration-file syntax (a my.cnf [mysqld] section, or a
 // postgresql.conf fragment), ready to apply to a real server.
 func WriteConfigFile(w io.Writer, d Dialect, cfg Config) error {
-	cat := knob.MySQL()
-	if d == Postgres {
-		cat = knob.Postgres()
-	}
-	return knob.WriteConfigFile(w, cat, cfg)
+	return knob.WriteConfigFile(w, simdb.Catalog(d), cfg)
 }
 
 // FormatKnob renders a knob value the way a DBA would read it ("16 GB",
 // "O_DIRECT", "ON"). Unknown knobs format as plain numbers.
 func FormatKnob(d Dialect, name string, value float64) string {
-	cat := knob.MySQL()
-	if d == Postgres {
-		cat = knob.Postgres()
-	}
-	spec, ok := cat.Spec(name)
+	spec, ok := simdb.Catalog(d).Spec(name)
 	if !ok {
 		return fmt.Sprintf("%g", value)
 	}

@@ -44,18 +44,9 @@ func RunChaos(cfg Config, w io.Writer) error {
 	}
 
 	req := func(plan *chaos.Plan, budget time.Duration, clones int, seedOffset int64) tuner.Request {
-		return tuner.Request{
-			Dialect:  p.Dialect,
-			Type:     p.Type,
-			Workload: p.Workload(),
-			Budget:   budget,
-			Clones:   clones,
-			Seed:     cfg.Seed + seedOffset,
-			Logger:   cfg.Logger,
-			Recorder: cfg.Recorder,
-			Status:   cfg.Status,
-			Chaos:    plan,
-		}
+		r := cfg.request(p, budget, clones, cfg.Seed+seedOffset)
+		r.Chaos = plan
+		return r
 	}
 
 	// Leg 1: a faulty-but-survivable cloud. The session must complete and

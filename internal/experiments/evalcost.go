@@ -62,18 +62,9 @@ func RunEvalCost(cfg Config, w io.Writer) error {
 
 	t := newTable("evaluation", "steps", "best fitness", "best "+p.unit(), "deployed "+p.unit(), "virtual time")
 	for _, l := range legs {
-		s, err := tuner.NewSession(tuner.Request{
-			Dialect:  p.Dialect,
-			Type:     p.Type,
-			Workload: l.wl,
-			Budget:   budget,
-			Clones:   clones,
-			Seed:     cfg.Seed,
-			Logger:   cfg.Logger,
-			Recorder: cfg.Recorder,
-			Status:   cfg.Status,
-			Eval:     l.eval,
-		})
+		req := cfg.request(p, budget, clones, cfg.Seed)
+		req.Workload, req.Eval = l.wl, l.eval
+		s, err := tuner.NewSession(req)
 		if err != nil {
 			return fmt.Errorf("experiments: evalcost %s: %w", l.name, err)
 		}

@@ -228,23 +228,29 @@ func (c Config) scaledSampleTarget() int {
 	return n
 }
 
+// request is the session request for the panel with the run's passive
+// sinks attached; sites set only their extra fields on the result.
+func (c Config) request(p panel, budget time.Duration, clones int, seed int64) tuner.Request {
+	return tuner.Request{
+		Dialect:  p.Dialect,
+		Type:     p.Type,
+		Workload: p.Workload(),
+		Budget:   budget,
+		Clones:   clones,
+		Seed:     seed,
+		Logger:   c.Logger,
+		Recorder: c.Recorder,
+		Status:   c.Status,
+	}
+}
+
 // runSession creates a session for the panel and runs the named method on
 // it. The returned session is closed by the caller.
 func runSession(cfg Config, p panel, method string, opts core.Options, budget time.Duration, clones int, seedOffset int64) (*tuner.Session, error) {
 	if method == "HUNTER" && opts.SampleTarget == 0 {
 		opts.SampleTarget = cfg.scaledSampleTarget()
 	}
-	s, err := tuner.NewSession(tuner.Request{
-		Dialect:  p.Dialect,
-		Type:     p.Type,
-		Workload: p.Workload(),
-		Budget:   budget,
-		Clones:   clones,
-		Seed:     cfg.Seed + seedOffset,
-		Logger:   cfg.Logger,
-		Recorder: cfg.Recorder,
-		Status:   cfg.Status,
-	})
+	s, err := tuner.NewSession(cfg.request(p, budget, clones, cfg.Seed+seedOffset))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s on %s: %w", method, p.Name, err)
 	}

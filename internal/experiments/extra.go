@@ -23,19 +23,9 @@ func RunAlphaSensitivity(cfg Config, w io.Writer) error {
 	rows := make([][]string, len(alphas))
 	if err := runJobs(cfg, len(alphas), func(i int) error {
 		alpha := alphas[i]
-		rules := knob.NewRules().SetAlpha(alpha)
-		s, err := tuner.NewSession(tuner.Request{
-			Dialect:  p.Dialect,
-			Type:     p.Type,
-			Workload: p.Workload(),
-			Rules:    rules,
-			Budget:   budget,
-			Clones:   2,
-			Seed:     cfg.Seed + int64(2000+i),
-			Logger:   cfg.Logger,
-			Recorder: cfg.Recorder,
-			Status:   cfg.Status,
-		})
+		req := cfg.request(p, budget, 2, cfg.Seed+int64(2000+i))
+		req.Rules = knob.NewRules().SetAlpha(alpha)
+		s, err := tuner.NewSession(req)
 		if err != nil {
 			return err
 		}

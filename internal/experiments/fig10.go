@@ -30,17 +30,7 @@ func RunFigure10(cfg Config, w io.Writer) error {
 	}
 	results := make([]result, len(methods))
 	if err := runJobs(cfg, len(methods), func(i int) error {
-		s, err := tuner.NewSession(tuner.Request{
-			Dialect:  p.Dialect,
-			Type:     p.Type,
-			Workload: p.Workload(),
-			Budget:   budget,
-			Clones:   1,
-			Seed:     cfg.Seed + int64(1000+i),
-			Logger:   cfg.Logger,
-			Recorder: cfg.Recorder,
-			Status:   cfg.Status,
-		})
+		s, err := tuner.NewSession(cfg.request(p, budget, 1, cfg.Seed+int64(1000+i)))
 		if err != nil {
 			return err
 		}

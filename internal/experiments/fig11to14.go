@@ -281,17 +281,9 @@ func RunFigure14(cfg Config, w io.Writer) error {
 	if err := runJobs(cfg, len(cells), func(k int) error {
 		ti, mi := k/len(methods), k%len(methods)
 		it := types[ti]
-		s, err := tuner.NewSession(tuner.Request{
-			Dialect:  p.Dialect,
-			Type:     it,
-			Workload: p.Workload(),
-			Budget:   2 * time.Hour, // five steps plus setup
-			Clones:   1,
-			Seed:     cfg.Seed + int64(1850+ti*10+mi),
-			Logger:   cfg.Logger,
-			Recorder: cfg.Recorder,
-			Status:   cfg.Status,
-		})
+		req := cfg.request(p, 2*time.Hour, 1, cfg.Seed+int64(1850+ti*10+mi)) // five steps plus setup
+		req.Type = it
+		s, err := tuner.NewSession(req)
 		if err != nil {
 			return err
 		}

@@ -326,18 +326,9 @@ func RunFigure8(cfg Config, w io.Writer) error {
 		si, ki := job/len(knobCounts), job%len(knobCounts)
 		n, k := sampleCounts[si], knobCounts[ki]
 		sampleTime := time.Duration(n) * 170 * time.Second
-		s, err := tuner.NewSession(tuner.Request{
-			Dialect:   p.Dialect,
-			Type:      p.Type,
-			Workload:  p.Workload(),
-			KnobNames: allKnobs,
-			Budget:    sampleTime + drl,
-			Clones:    1,
-			Seed:      cfg.Seed + int64(800+si*10+ki),
-			Logger:    cfg.Logger,
-			Recorder:  cfg.Recorder,
-			Status:    cfg.Status,
-		})
+		req := cfg.request(p, sampleTime+drl, 1, cfg.Seed+int64(800+si*10+ki))
+		req.KnobNames = allKnobs
+		s, err := tuner.NewSession(req)
 		if err != nil {
 			return err
 		}

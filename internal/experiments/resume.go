@@ -49,18 +49,9 @@ func RunResumeIdentity(cfg Config, w io.Writer) error {
 	}
 
 	req := func(rec *telemetry.Recorder, policy *tuner.CheckpointPolicy) tuner.Request {
-		return tuner.Request{
-			Dialect:    p.Dialect,
-			Type:       p.Type,
-			Workload:   p.Workload(),
-			Budget:     budget,
-			Clones:     clones,
-			Seed:       seed,
-			Logger:     cfg.Logger,
-			Recorder:   rec,
-			Status:     cfg.Status,
-			Checkpoint: policy,
-		}
+		r := cfg.request(p, budget, clones, seed)
+		r.Recorder, r.Checkpoint = rec, policy
+		return r
 	}
 	policy := &tuner.CheckpointPolicy{Dir: dir, Every: cfg.CheckpointEvery}
 

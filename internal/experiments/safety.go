@@ -76,18 +76,9 @@ func RunSafety(cfg Config, w io.Writer) error {
 
 	for i, l := range legs {
 		sOpts := l.safety
-		s, err := tuner.NewSession(tuner.Request{
-			Dialect:  p.Dialect,
-			Type:     p.Type,
-			Workload: p.Workload(),
-			Budget:   budget,
-			Clones:   3,
-			Seed:     cfg.Seed + 8600,
-			Logger:   cfg.Logger,
-			Recorder: cfg.Recorder,
-			Status:   cfg.Status,
-			Safety:   &sOpts,
-		})
+		req := cfg.request(p, budget, 3, cfg.Seed+8600)
+		req.Safety = &sOpts
+		s, err := tuner.NewSession(req)
 		if err != nil {
 			return err
 		}

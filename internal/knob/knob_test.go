@@ -252,16 +252,33 @@ func TestRulesConditional(t *testing.T) {
 	}
 }
 
-func TestRulesValidateUnknownKnob(t *testing.T) {
+func TestRulesValidate(t *testing.T) {
 	cat := MySQL()
-	if err := NewRules().Fix("no_such_knob", 1).Validate(cat); err == nil {
-		t.Fatal("expected error for unknown fixed knob")
-	}
-	if err := NewRules().Range("nope", 0, 1).Validate(cat); err == nil {
-		t.Fatal("expected error for unknown ranged knob")
-	}
-	if err := NewRules().When("nope", OpGT, 0, "thread_handling", 1).Validate(cat); err == nil {
-		t.Fatal("expected error for unknown conditional knob")
+	nan, inf := math.NaN(), math.Inf(1)
+	const pool = "innodb_buffer_pool_size"
+	for _, tc := range []struct {
+		name  string
+		rules *Rules
+		ok    bool
+	}{
+		{"admissible", NewRules().SetAlpha(0.7).Fix(pool, 1<<30).Range("innodb_io_capacity", 1000, 2000).
+			When("max_connections", OpGT, 100, "thread_handling", 1), true},
+		{"unset NaN alpha is ignored", &Rules{Alpha: nan}, true},
+		{"unknown fixed knob", NewRules().Fix("no_such_knob", 1), false},
+		{"unknown ranged knob", NewRules().Range("nope", 0, 1), false},
+		{"unknown conditional knob", NewRules().When("nope", OpGT, 0, "thread_handling", 1), false},
+		{"NaN alpha", NewRules().SetAlpha(nan), false},
+		{"infinite alpha", NewRules().SetAlpha(-inf), false},
+		{"NaN fixed value", NewRules().Fix(pool, nan), false},
+		{"infinite fixed value", NewRules().Fix(pool, inf), false},
+		{"NaN range bound", NewRules().Range(pool, nan, 1), false},
+		{"infinite range bound", NewRules().Range(pool, 0, inf), false},
+		{"NaN conditional value", NewRules().When("max_connections", OpGT, nan, "thread_handling", 1), false},
+		{"infinite conditional pin", NewRules().When("max_connections", OpGT, 100, "thread_handling", -inf), false},
+	} {
+		if err := tc.rules.Validate(cat); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package knob
 
 import (
 	"fmt"
+	"math"
 )
 
 // Op is a comparison operator in a conditional rule.
@@ -149,19 +150,29 @@ func (r *Rules) EnforceConditionals(cat *Catalog, cfg Config) {
 	}
 }
 
-// Validate checks that every referenced knob exists in the catalog.
+// Validate checks that every referenced knob exists in the catalog and
+// that every value and bound, and a set α, is a finite number.
 func (r *Rules) Validate(cat *Catalog) error {
 	if r == nil {
 		return nil
 	}
-	for name := range r.Fixed {
+	if r.AlphaSet && !finite(r.Alpha) {
+		return fmt.Errorf("rules: alpha %v is not a finite number", r.Alpha)
+	}
+	for name, v := range r.Fixed {
 		if _, ok := cat.Spec(name); !ok {
 			return fmt.Errorf("rules: fixed knob %q not in %s catalog", name, cat.Dialect)
 		}
+		if !finite(v) {
+			return fmt.Errorf("rules: fixed knob %q value %v is not a finite number", name, v)
+		}
 	}
-	for name := range r.Ranges {
+	for name, rg := range r.Ranges {
 		if _, ok := cat.Spec(name); !ok {
 			return fmt.Errorf("rules: ranged knob %q not in %s catalog", name, cat.Dialect)
+		}
+		if !finite(rg[0]) || !finite(rg[1]) {
+			return fmt.Errorf("rules: ranged knob %q bounds [%v, %v] are not finite numbers", name, rg[0], rg[1])
 		}
 	}
 	for _, c := range r.Conditionals {
@@ -171,9 +182,14 @@ func (r *Rules) Validate(cat *Catalog) error {
 		if _, ok := cat.Spec(c.Then); !ok {
 			return fmt.Errorf("rules: conditional pins unknown knob %q", c.Then)
 		}
+		if !finite(c.Value) || !finite(c.ThenValue) {
+			return fmt.Errorf("rules: conditional %s %s %v then %s = %v has a non-finite value", c.If, c.Op, c.Value, c.Then, c.ThenValue)
+		}
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Violations reports every way cfg violates the rules; an empty slice means
 // the configuration is admissible. Used by tests and by the Actor before

@@ -261,12 +261,7 @@ func NewEngine(d Dialect, res Resources, seed int64) (*Engine, error) {
 }
 
 // Catalog returns the knob catalog for the engine's dialect.
-func (e *Engine) Catalog() *knob.Catalog {
-	if e.dialect == Postgres {
-		return knob.Postgres()
-	}
-	return knob.MySQL()
-}
+func (e *Engine) Catalog() *knob.Catalog { return Catalog(e.dialect) }
 
 // Dialect returns the engine's dialect.
 func (e *Engine) Dialect() Dialect { return e.dialect }

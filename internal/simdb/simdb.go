@@ -16,6 +16,8 @@ package simdb
 import (
 	"fmt"
 	"math"
+
+	"github.com/hunter-cdb/hunter/internal/knob"
 )
 
 // Dialect selects the database flavour being simulated.
@@ -36,6 +38,14 @@ func (d Dialect) String() string {
 		return "postgresql"
 	}
 	return fmt.Sprintf("Dialect(%d)", int(d))
+}
+
+// Catalog returns the dialect's knob catalog.
+func Catalog(d Dialect) *knob.Catalog {
+	if d == Postgres {
+		return knob.Postgres()
+	}
+	return knob.MySQL()
 }
 
 // PageSize is the storage page size the simulation uses (InnoDB default).

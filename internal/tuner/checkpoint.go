@@ -337,12 +337,7 @@ func ResumeSession(ctx context.Context, req Request, path string) (*Session, *ch
 	if req.Costs != nil {
 		costs = *req.Costs
 	}
-	var cat *knob.Catalog
-	if req.Dialect == simdb.Postgres {
-		cat = knob.Postgres()
-	} else {
-		cat = knob.MySQL()
-	}
+	cat := simdb.Catalog(req.Dialect)
 	if err := req.Rules.Validate(cat); err != nil {
 		return nil, nil, err
 	}

@@ -299,12 +299,7 @@ func NewSessionContext(ctx context.Context, req Request) (*Session, error) {
 		// instance, its clones and their engines all report.
 		s.Provider.SetRecorder(req.Recorder)
 	}
-	var cat *knob.Catalog
-	if req.Dialect == simdb.Postgres {
-		cat = knob.Postgres()
-	} else {
-		cat = knob.MySQL()
-	}
+	cat := simdb.Catalog(req.Dialect)
 	if err := req.Rules.Validate(cat); err != nil {
 		return nil, err
 	}
