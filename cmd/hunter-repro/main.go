@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -55,6 +56,10 @@ func main() {
 	}
 
 	// Input errors exit 2, like flag errors.
+	if !(*scale > 0 && *scale < math.Inf(1)) {
+		fmt.Fprintf(os.Stderr, "-scale %g: want a finite number > 0\n", *scale)
+		os.Exit(2)
+	}
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs -checkpoint-dir")
 		os.Exit(2)

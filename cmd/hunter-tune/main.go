@@ -90,10 +90,13 @@ func main() {
 		req.Chaos = &hunter.ChaosPlan{Seed: *chSeed, Profile: profile}
 	}
 	// Any guardrail-shaped flag arms the full safety loop; -online alone
-	// runs the naive deploy-as-you-go baseline without the guard.
-	if *guard || *sloP99 > 0 || *sloTPS > 0 || *gMargin > 0 || *online {
+	// runs the naive deploy-as-you-go baseline without the guard. A set
+	// flag arms it even when its value is bad (negative, NaN), so Validate
+	// rejects the value instead of the run silently ignoring it.
+	armed := *guard || *sloP99 != 0 || *sloTPS != 0 || *gMargin != 0
+	if armed || *online {
 		req.Safety = &hunter.SafetyOptions{
-			Guardrails:  *guard || *sloP99 > 0 || *sloTPS > 0 || *gMargin > 0,
+			Guardrails:  armed,
 			Margin:      *gMargin,
 			SLOP99Ms:    float64(*sloP99) / float64(time.Millisecond),
 			SLOFloorTPS: *sloTPS,

@@ -48,6 +48,10 @@ func TestBadInputFailsClosed(t *testing.T) {
 		{[]string{"-range", "innodb_buffer_pool_size=NaN:1"}, "innodb_buffer_pool_size=NaN:1"},
 		{[]string{"-fix", "no_such_knob=1"}, `"no_such_knob"`},
 		{[]string{"-drift-stream", "tides"}, "tides"},
+		{[]string{"-guardrails", "-guard-margin", "NaN"}, "margin NaN"},
+		{[]string{"-guard-margin", "NaN"}, "margin NaN"},
+		{[]string{"-guard-margin", "-0.1"}, "margin -0.1"},
+		{[]string{"-slo-floor-tps", "NaN"}, "floor NaN"},
 		{[]string{"-resume"}, "-resume needs -checkpoint-dir"},
 	} {
 		stdout, stderr, code := runMain(t, tc.args...)

@@ -53,13 +53,19 @@ func (f *Forest) RestoreFrom(r io.Reader) error {
 	}
 	trees := make([]*tree, len(st.Trees))
 	for i, nodes := range st.Trees {
+		if len(nodes) == 0 {
+			return fmt.Errorf("rf: snapshot tree %d is empty", i)
+		}
 		t := &tree{nodes: make([]node, len(nodes))}
 		for j, n := range nodes {
 			if n.Feature >= st.Dim {
 				return fmt.Errorf("rf: snapshot tree %d node %d splits on feature %d of %d", i, j, n.Feature, st.Dim)
 			}
-			if n.Feature >= 0 && (n.Left < 0 || n.Left >= len(nodes) || n.Right < 0 || n.Right >= len(nodes)) {
-				return fmt.Errorf("rf: snapshot tree %d node %d has out-of-range children", i, j)
+			// The trainer appends children after their parent, so a child
+			// index at or before its parent's is a cycle Predict would
+			// never leave.
+			if n.Feature >= 0 && (n.Left <= j || n.Left >= len(nodes) || n.Right <= j || n.Right >= len(nodes)) {
+				return fmt.Errorf("rf: snapshot tree %d node %d has children (%d, %d) outside (%d, %d)", i, j, n.Left, n.Right, j, len(nodes))
 			}
 			t.nodes[j] = node{feature: n.Feature, threshold: n.Threshold, left: n.Left, right: n.Right, value: n.Value}
 		}

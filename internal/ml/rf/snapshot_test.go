@@ -2,6 +2,7 @@ package rf
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"github.com/hunter-cdb/hunter/internal/sim"
@@ -51,5 +52,28 @@ func TestForestRestoreRejectsBad(t *testing.T) {
 	var f Forest
 	if err := f.RestoreFrom(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A snapshot whose trees are empty or point a split back at itself or an
+// ancestor must be refused: Predict on such a tree never returns.
+func TestForestRestoreRejectsCyclicTrees(t *testing.T) {
+	leaf := NodeState{Feature: -1, Value: 1}
+	for name, nodes := range map[string][]NodeState{
+		"empty":         {},
+		"self":          {{Feature: 0, Left: 0, Right: 1}, leaf},
+		"ancestor":      {{Feature: 0, Left: 1, Right: 2}, {Feature: 0, Left: 0, Right: 2}, leaf},
+		"out of range":  {{Feature: 0, Left: 1, Right: 2}, leaf},
+		"negative left": {{Feature: 0, Left: -1, Right: 1}, leaf},
+	} {
+		var buf bytes.Buffer
+		st := forestState{Trees: [][]NodeState{nodes}, Importance: []float64{1}, Dim: 1}
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		var f Forest
+		if err := f.RestoreFrom(&buf); err == nil {
+			t.Errorf("%s tree accepted", name)
+		}
 	}
 }

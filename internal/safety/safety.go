@@ -115,26 +115,34 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Validate rejects option sets the state machine cannot run with.
+// Validate rejects option sets the state machine cannot run with. Range
+// checks are written in negated form so NaN, which fails every
+// comparison, is rejected too.
 func (o Options) Validate() error {
 	o = o.WithDefaults()
-	if o.Margin <= 0 || o.Margin >= 1 {
+	if !(o.Margin > 0 && o.Margin < 1) {
 		return fmt.Errorf("safety: margin %g outside (0,1)", o.Margin)
 	}
 	if o.CanaryReplicas < 1 {
 		return fmt.Errorf("safety: canary replicas %d < 1", o.CanaryReplicas)
 	}
-	if o.TrustRadius <= 0 || o.TrustRadius > 1 {
+	if !(o.TrustRadius > 0 && o.TrustRadius <= 1) {
 		return fmt.Errorf("safety: trust radius %g outside (0,1]", o.TrustRadius)
 	}
-	if o.RadiusWiden < 1 {
-		return fmt.Errorf("safety: radius widen factor %g < 1", o.RadiusWiden)
+	if !(o.RadiusWiden >= 1 && o.RadiusWiden < math.Inf(1)) {
+		return fmt.Errorf("safety: radius widen factor %g outside [1,+Inf)", o.RadiusWiden)
 	}
-	if o.RadiusShrink <= 0 || o.RadiusShrink >= 1 {
+	if !(o.RadiusShrink > 0 && o.RadiusShrink < 1) {
 		return fmt.Errorf("safety: radius shrink factor %g outside (0,1)", o.RadiusShrink)
 	}
-	if o.RadiusMin <= 0 || o.RadiusMin > o.RadiusMax {
+	if !(o.RadiusMin > 0 && o.RadiusMin <= o.RadiusMax && o.RadiusMax < math.Inf(1)) {
 		return fmt.Errorf("safety: radius bounds [%g,%g] invalid", o.RadiusMin, o.RadiusMax)
+	}
+	if !(o.SLOP99Ms >= 0 && o.SLOP99Ms < math.Inf(1)) || !(o.SLOFloorTPS >= 0 && o.SLOFloorTPS < math.Inf(1)) {
+		return fmt.Errorf("safety: SLO p99 %g ms / floor %g tps must be finite and >= 0", o.SLOP99Ms, o.SLOFloorTPS)
+	}
+	if !(o.QuarantineRadius > 0 && o.QuarantineRadius < math.Inf(1)) {
+		return fmt.Errorf("safety: quarantine radius %g outside (0,+Inf)", o.QuarantineRadius)
 	}
 	if o.ViolationLimit < 1 {
 		return fmt.Errorf("safety: violation limit %d < 1", o.ViolationLimit)
@@ -145,8 +153,8 @@ func (o Options) Validate() error {
 	if o.BaselineWindow < 1 {
 		return fmt.Errorf("safety: baseline window %d < 1", o.BaselineWindow)
 	}
-	if o.DriftThreshold < 0 {
-		return fmt.Errorf("safety: drift threshold %g < 0", o.DriftThreshold)
+	if !(o.DriftThreshold >= 0 && o.DriftThreshold < math.Inf(1)) {
+		return fmt.Errorf("safety: drift threshold %g outside [0,+Inf)", o.DriftThreshold)
 	}
 	return nil
 }

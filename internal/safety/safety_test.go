@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,6 +41,32 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := NewGuard(Options{}); err != nil {
 		t.Fatalf("zero options should default to valid: %v", err)
+	}
+}
+
+// Every float option rejects NaN and ±Inf: NaN fails every comparison, so
+// a range check that only looks for out-of-range values lets it through.
+func TestOptionsValidateNonFinite(t *testing.T) {
+	set := map[string]func(*Options, float64){
+		"Margin":           func(o *Options, v float64) { o.Margin = v },
+		"TrustRadius":      func(o *Options, v float64) { o.TrustRadius = v },
+		"RadiusWiden":      func(o *Options, v float64) { o.RadiusWiden = v },
+		"RadiusShrink":     func(o *Options, v float64) { o.RadiusShrink = v },
+		"RadiusMin":        func(o *Options, v float64) { o.RadiusMin = v },
+		"RadiusMax":        func(o *Options, v float64) { o.RadiusMax = v },
+		"SLOP99Ms":         func(o *Options, v float64) { o.SLOP99Ms = v },
+		"SLOFloorTPS":      func(o *Options, v float64) { o.SLOFloorTPS = v },
+		"DriftThreshold":   func(o *Options, v float64) { o.DriftThreshold = v },
+		"QuarantineRadius": func(o *Options, v float64) { o.QuarantineRadius = v },
+	}
+	for name, f := range set {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var o Options
+			f(&o, v)
+			if err := o.Validate(); err == nil {
+				t.Errorf("%s = %g accepted", name, v)
+			}
+		}
 	}
 }
 

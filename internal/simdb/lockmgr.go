@@ -1,5 +1,7 @@
 package simdb
 
+import "github.com/hunter-cdb/hunter/internal/sim"
+
 // lockTable is a row-lock manager with wait-for-graph deadlock detection,
 // the mechanism behind the engine's lock-contention measurements. During a
 // stress test the engine simulates batches of concurrent transactions
@@ -8,10 +10,10 @@ package simdb
 // deadlock (InnoDB detects these immediately; PostgreSQL after
 // deadlock_timeout).
 type lockTable struct {
-	owner   map[uint64]int // key → owning transaction
-	held    [][]uint64     // per-txn held keys
-	waitFor []int          // blocked txn → txn it waits on (-1: none)
-	waited  []bool         // txns that blocked at least once
+	owner   sim.KeyTable // key → owning transaction
+	held    [][]uint64   // per-txn held keys
+	waitFor []int        // blocked txn → txn it waits on (-1: none)
+	waited  []bool       // txns that blocked at least once
 	aborted []bool
 
 	deadlocks int
@@ -25,15 +27,11 @@ func newLockTable(n int) *lockTable {
 }
 
 // reset prepares the table for a fresh batch of n transactions, reusing
-// the per-transaction slices and the owner map from earlier batches — the
-// lock simulation runs dozens of batches per stress test, so the
+// the per-transaction slices and the owner table from earlier batches —
+// the lock simulation runs dozens of batches per stress test, so the
 // allocation churn of rebuilding the table dominated the measurement loop.
 func (lt *lockTable) reset(n int) {
-	if lt.owner == nil {
-		lt.owner = make(map[uint64]int, 4*n)
-	} else {
-		clear(lt.owner)
-	}
+	lt.owner.Reset(4 * n)
 	if cap(lt.held) < n {
 		lt.held = make([][]uint64, n)
 		lt.waitFor = make([]int, n)
@@ -71,10 +69,10 @@ func (lt *lockTable) acquire(txn int, key uint64) acquireResult {
 	if lt.aborted[txn] {
 		return lockDeadlock
 	}
-	holder, taken := lt.owner[key]
+	h, taken := lt.owner.GetOrPut(key, int32(txn))
+	holder := int(h)
 	if !taken || holder == txn {
 		if !taken {
-			lt.owner[key] = txn
 			lt.held[txn] = append(lt.held[txn], key)
 		}
 		return lockGranted
@@ -113,10 +111,10 @@ func (lt *lockTable) abort(txn int) {
 func (lt *lockTable) commit(txn int) { lt.release(txn) }
 
 func (lt *lockTable) release(txn int) {
+	// txn owns every key it holds: a key is held only once granted, and
+	// only its holder's release frees it.
 	for _, k := range lt.held[txn] {
-		if lt.owner[k] == txn {
-			delete(lt.owner, k)
-		}
+		lt.owner.Delete(k)
 	}
 	lt.held[txn] = lt.held[txn][:0]
 	lt.waitFor[txn] = -1
@@ -224,7 +222,7 @@ func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 			}
 			if blocked[t] {
 				// Retry the same key; succeeds once the holder released.
-				if o, held := lt.owner[writeSets[t][progress[t]]]; held && o != t {
+				if o, held := lt.owner.Get(writeSets[t][progress[t]]); held && int(o) != t {
 					continue
 				}
 				blocked[t] = false
