@@ -70,29 +70,6 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Zipf draws keys in [0, n) with Zipfian skew s (>1 means skewed; the
-// common OLTP benchmark setting is around 1.1–1.3). It is used by the
-// workload generators to model hot rows, which in turn drives buffer-pool
-// hit ratios and lock contention in the simulated engine.
-type Zipf struct {
-	z *rand.Zipf
-	n uint64
-}
-
-// NewZipf creates a Zipf sampler over [0, n) with exponent s (must be >1).
-func NewZipf(r *RNG, s float64, n uint64) *Zipf {
-	if s <= 1 {
-		s = 1.0001
-	}
-	return &Zipf{z: rand.NewZipf(r.Rand, s, 1, n-1), n: n}
-}
-
-// Next returns the next key.
-func (z *Zipf) Next() uint64 { return z.z.Uint64() }
-
-// N returns the key-space size.
-func (z *Zipf) N() uint64 { return z.n }
-
 // Clamp bounds v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	return math.Min(hi, math.Max(lo, v))

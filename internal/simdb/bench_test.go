@@ -76,6 +76,29 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkLockSimRun measures the lock simulation alone on the batches
+// one default-configuration TPC-C stress test plays.
+func BenchmarkLockSimRun(b *testing.B) {
+	e, err := NewEngine(MySQL, referenceMySQL(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := workload.TPCC()
+	pl := e.planFor(p, e.shape(p))
+	zRows := sim.NewZipfTable(p.Skew, uint64(p.Rows)).Sampler(e.rng)
+	batch, n := e.lockBatchShape(p)
+	batches := make([][][]uint64, n)
+	for i := range batches {
+		batches[i] = make([][]uint64, batch)
+		e.drawWriteSets(p, pl, zRows, batches[i])
+	}
+	var s lockSim
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.run(batches[i%len(batches)])
+	}
+}
+
 // BenchmarkEngineConfigure measures deployment cost including boot
 // validation and pool rebuild.
 func BenchmarkEngineConfigure(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,6 +68,8 @@ type Engine struct {
 	// allocation and recomputation without touching the RNG stream, so
 	// results are bit-identical to the unoptimized path.
 	plan       accessPlan // workload-derived access plan (cached per profile)
+	pageZipf   zipfCache  // Zipf table over data pages
+	rowZipf    zipfCache  // Zipf table over rows
 	locks      lockSim    // lock table + per-batch scratch
 	writeSets  [][]uint64 // per-transaction write sets for the lock sim
 	latScratch []float64  // latency sample buffer
@@ -226,6 +229,25 @@ func (e *Engine) planFor(p *workload.Profile, sh simShape) *accessPlan {
 		pl.scanPages = append(pl.scanPages, sp)
 	}
 	return pl
+}
+
+// zipfCache holds the Zipf table of one key space, built once per (skew,
+// key count). It is keyed on the skew itself because the access plan's
+// identity guard does not cover Profile.Skew. Tables hold no RNG state,
+// so snapshots and restores leave the cache valid.
+type zipfCache struct {
+	skew float64
+	n    uint64
+	t    *sim.ZipfTable
+}
+
+// sampler returns a Zipf sampler over [0, n) with exponent skew drawing
+// from r, rebuilding the table when either key moved.
+func (c *zipfCache) sampler(r *sim.RNG, skew float64, n uint64) *sim.Zipf {
+	if c.t == nil || c.skew != skew || c.n != n {
+		c.skew, c.n, c.t = skew, n, sim.NewZipfTable(skew, n)
+	}
+	return c.t.Sampler(r)
 }
 
 // pickClass selects a class index from u ∈ [0,1) using the cached
@@ -396,7 +418,7 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 			if warmOps > 150000 {
 				warmOps = 150000
 			}
-			z := sim.NewZipf(e.rng, p.Skew, uint64(sh.simDataPages))
+			z := e.pageZipf.sampler(e.rng, p.Skew, uint64(sh.simDataPages))
 			for i := 0; i < warmOps; i++ {
 				e.pool.Access(uint32(z.Next()), false, false)
 			}
@@ -408,7 +430,7 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 	}
 	e.pool.ResetCounters()
 
-	z := sim.NewZipf(e.rng, p.Skew, uint64(sh.simDataPages))
+	z := e.pageZipf.sampler(e.rng, p.Skew, uint64(sh.simDataPages))
 	dirtyBefore := e.pool.dirtyPages
 	var rowWrites int
 	for t := 0; t < pl.txns; t++ {
@@ -449,34 +471,9 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 	// against a real lock table with wait-for-graph deadlock detection.
 	// Hot-set writes (warehouse/district counters and the like) dominate
 	// the conflicts; cold writes draw from the full key space.
-	conc := e.admitted(p)
-	batch := conc
-	if batch > 256 {
-		batch = 256
-	}
-	if batch < 2 {
-		batch = 2
-	}
-	// Keep the total simulated transactions roughly constant: large
-	// concurrencies need fewer (but bigger) batches for the same
-	// statistical power.
-	batches := lockBatches
-	if batch > 32 {
-		batches = 1024 / batch
-		if batches < 6 {
-			batches = 6
-		}
-	}
-	// Compressed kernels sample fewer lock batches too, with a floor so
-	// conflict probability keeps at least two independent observations.
-	if f := p.MeasureFraction; f > 0 && f < 1 {
-		batches = int(float64(batches) * f)
-		if batches < 2 {
-			batches = 2
-		}
-	}
+	batch, batches := e.lockBatchShape(p)
 	var conflicted, total, deadlocks int
-	zRows := sim.NewZipf(e.rng, p.Skew, uint64(p.Rows))
+	zRows := e.rowZipf.sampler(e.rng, p.Skew, uint64(p.Rows))
 	if len(e.writeSets) < batch {
 		grown := make([][]uint64, batch)
 		copy(grown, e.writeSets)
@@ -484,24 +481,7 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 	}
 	writeSets := e.writeSets[:batch]
 	for b := 0; b < batches; b++ {
-		for t := 0; t < batch; t++ {
-			c := &p.Mix[pl.pickClass(e.rng.Float64())]
-			ws := writeSets[t][:0]
-			for i := 0; i < c.HotWrites && p.HotSetSize > 0; i++ {
-				ws = append(ws, uint64(e.rng.Int63n(p.HotSetSize)))
-			}
-			for i := 0; i < c.PointWrites-c.HotWrites; i++ {
-				ws = append(ws, zRows.Next()+1<<32) // distinct namespace from hot set
-			}
-			// Most transactions acquire rows in a consistent (index)
-			// order, which prevents wait-for cycles; a minority of ad-hoc
-			// code paths lock in arrival order and cause the occasional
-			// real deadlock, as in production OLTP.
-			if e.rng.Float64() < 0.92 || len(ws) > 8 {
-				sortUint64(ws)
-			}
-			writeSets[t] = ws
-		}
+		e.drawWriteSets(p, pl, zRows, writeSets)
 		cf, dl := e.locks.run(writeSets)
 		conflicted += cf
 		deadlocks += dl
@@ -515,6 +495,50 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 		m.deadlockProb = 0.15 * float64(deadlocks) / float64(total)
 	}
 	return m
+}
+
+// lockBatchShape returns how many transactions each lock batch of a
+// stress test runs and how many batches it plays: the admitted
+// concurrency, clamped to [2, 256], and a batch count that keeps the total
+// simulated transactions roughly constant.
+func (e *Engine) lockBatchShape(p *workload.Profile) (batch, batches int) {
+	batch = min(max(e.admitted(p), 2), 256)
+	// Large concurrencies need fewer (but bigger) batches for the same
+	// statistical power.
+	batches = lockBatches
+	if batch > 32 {
+		batches = max(1024/batch, 6)
+	}
+	// Compressed kernels sample fewer lock batches too, with a floor so
+	// conflict probability keeps at least two independent observations.
+	if f := p.MeasureFraction; f > 0 && f < 1 {
+		batches = max(int(float64(batches)*f), 2)
+	}
+	return batch, batches
+}
+
+// drawWriteSets fills one lock batch: a write set per transaction, drawn
+// from its class's hot-set and Zipf-distributed row writes. The slices are
+// reused in place.
+func (e *Engine) drawWriteSets(p *workload.Profile, pl *accessPlan, zRows *sim.Zipf, writeSets [][]uint64) {
+	for t := range writeSets {
+		c := &p.Mix[pl.pickClass(e.rng.Float64())]
+		ws := writeSets[t][:0]
+		for i := 0; i < c.HotWrites && p.HotSetSize > 0; i++ {
+			ws = append(ws, uint64(e.rng.Int63n(p.HotSetSize)))
+		}
+		for i := 0; i < c.PointWrites-c.HotWrites; i++ {
+			ws = append(ws, zRows.Next()+1<<32) // distinct namespace from hot set
+		}
+		// Most transactions acquire rows in a consistent (index) order,
+		// which prevents wait-for cycles; a minority of ad-hoc code paths
+		// lock in arrival order and cause the occasional real deadlock,
+		// as in production OLTP.
+		if e.rng.Float64() < 0.92 || len(ws) > 8 {
+			slices.Sort(ws)
+		}
+		writeSets[t] = ws
+	}
 }
 
 // admitted returns the concurrency the engine actually runs: client

@@ -7,19 +7,50 @@ import (
 	"github.com/hunter-cdb/hunter/internal/sim"
 )
 
+// acq is lockTable.acquire without the victim's waiter list.
+func acq(lt *lockTable, txn int, key uint64) acquireResult {
+	res, _ := lt.acquire(txn, key)
+	return res
+}
+
+// TestLockReleaseDetachesWaiters checks that a release hands its waiter
+// list to the caller once: a second release of the same transaction
+// returns nothing and leaves the wait edge of a former waiter, now parked
+// on another holder, in place.
+func TestLockReleaseDetachesWaiters(t *testing.T) {
+	lt := newLockTable(8)
+	acq(lt, 1, 'A')
+	if acq(lt, 2, 'A') != lockBlocked {
+		t.Fatal("2 should block on 1")
+	}
+	if head := lt.commit(1); head != 2 || lt.nextWaiter[head] != -1 {
+		t.Fatalf("commit(1) woke list %d, want just 2", head)
+	}
+	acq(lt, 3, 'A')
+	if acq(lt, 2, 'A') != lockBlocked || lt.waitFor[2] != 3 {
+		t.Fatalf("2 should now wait on 3, waits on %d", lt.waitFor[2])
+	}
+	if head := lt.commit(1); head != -1 {
+		t.Fatalf("second commit(1) woke list %d, want none", head)
+	}
+	if lt.waitFor[2] != 3 {
+		t.Fatalf("second commit(1) cleared 2's wait edge on 3 (now %d)", lt.waitFor[2])
+	}
+}
+
 func TestLockAcquireGrantAndReentry(t *testing.T) {
 	lt := newLockTable(8)
-	if lt.acquire(1, 100) != lockGranted {
+	if acq(lt, 1, 100) != lockGranted {
 		t.Fatal("fresh lock should grant")
 	}
-	if lt.acquire(1, 100) != lockGranted {
+	if acq(lt, 1, 100) != lockGranted {
 		t.Fatal("re-acquiring an owned lock should grant")
 	}
-	if lt.acquire(2, 100) != lockBlocked {
+	if acq(lt, 2, 100) != lockBlocked {
 		t.Fatal("conflicting request should block")
 	}
 	lt.commit(1)
-	if lt.acquire(2, 100) != lockGranted {
+	if acq(lt, 2, 100) != lockGranted {
 		t.Fatal("released lock should grant to the waiter")
 	}
 }
@@ -27,36 +58,36 @@ func TestLockAcquireGrantAndReentry(t *testing.T) {
 func TestLockDeadlockTwoTxns(t *testing.T) {
 	// Classic crossing: T1 holds A and wants B; T2 holds B and wants A.
 	lt := newLockTable(8)
-	if lt.acquire(1, 'A') != lockGranted || lt.acquire(2, 'B') != lockGranted {
+	if acq(lt, 1, 'A') != lockGranted || acq(lt, 2, 'B') != lockGranted {
 		t.Fatal("setup grants failed")
 	}
-	if lt.acquire(1, 'B') != lockBlocked {
+	if acq(lt, 1, 'B') != lockBlocked {
 		t.Fatal("T1 should block on B")
 	}
-	if lt.acquire(2, 'A') != lockDeadlock {
+	if acq(lt, 2, 'A') != lockDeadlock {
 		t.Fatal("T2's request closes the cycle: deadlock")
 	}
 	if _, dl := lt.stats(); dl != 1 {
 		t.Fatalf("deadlocks = %d", dl)
 	}
 	// The victim's locks were released: T1 can now take B.
-	if lt.acquire(1, 'B') != lockGranted {
+	if acq(lt, 1, 'B') != lockGranted {
 		t.Fatal("victim's locks should be free")
 	}
 }
 
 func TestLockDeadlockThreeCycle(t *testing.T) {
 	lt := newLockTable(8)
-	lt.acquire(1, 'A')
-	lt.acquire(2, 'B')
-	lt.acquire(3, 'C')
-	if lt.acquire(1, 'B') != lockBlocked {
+	acq(lt, 1, 'A')
+	acq(lt, 2, 'B')
+	acq(lt, 3, 'C')
+	if acq(lt, 1, 'B') != lockBlocked {
 		t.Fatal("1→B should block")
 	}
-	if lt.acquire(2, 'C') != lockBlocked {
+	if acq(lt, 2, 'C') != lockBlocked {
 		t.Fatal("2→C should block")
 	}
-	if lt.acquire(3, 'A') != lockDeadlock {
+	if acq(lt, 3, 'A') != lockDeadlock {
 		t.Fatal("3→A closes the 3-cycle")
 	}
 }
@@ -64,12 +95,12 @@ func TestLockDeadlockThreeCycle(t *testing.T) {
 func TestLockNoFalseDeadlock(t *testing.T) {
 	// A chain (1 waits on 2, 2 waits on 3) is not a cycle.
 	lt := newLockTable(8)
-	lt.acquire(3, 'C')
-	lt.acquire(2, 'B')
-	if lt.acquire(2, 'C') != lockBlocked {
+	acq(lt, 3, 'C')
+	acq(lt, 2, 'B')
+	if acq(lt, 2, 'C') != lockBlocked {
 		t.Fatal("2 should block on 3")
 	}
-	if lt.acquire(1, 'B') != lockBlocked {
+	if acq(lt, 1, 'B') != lockBlocked {
 		t.Fatal("1 should block on 2 (chain, not cycle)")
 	}
 	if _, dl := lt.stats(); dl != 0 {

@@ -3,6 +3,7 @@ package tuner
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -60,6 +61,39 @@ func TestSessionRequestValidation(t *testing.T) {
 		Rules:    knob.NewRules().Fix("no_such", 1),
 	}); err == nil {
 		t.Fatal("rules referencing unknown knobs should fail")
+	}
+}
+
+// TestSessionRejectsNonFiniteProfile: a NaN or infinite Zipf exponent
+// would spin the default stress test's key sampler forever, so the
+// request must fail validation before any engine runs. A session that
+// has not answered within the deadline counts as the hang.
+func TestSessionRejectsNonFiniteProfile(t *testing.T) {
+	bad := map[string]func(*workload.Profile){
+		"skew NaN":         func(p *workload.Profile) { p.Skew = math.NaN() },
+		"skew +Inf":        func(p *workload.Profile) { p.Skew = math.Inf(1) },
+		"skew -Inf":        func(p *workload.Profile) { p.Skew = math.Inf(-1) },
+		"measure frac NaN": func(p *workload.Profile) { p.MeasureFraction = math.NaN() },
+	}
+	for name, spoil := range bad {
+		p := workload.TPCC()
+		spoil(p)
+		done := make(chan error, 1)
+		go func() {
+			s, err := NewSession(Request{Workload: p, Clones: 1, Seed: 1})
+			if err == nil {
+				s.Close()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: session accepted the profile", name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: session set-up did not return", name)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 )
 
 // TxnClass is one transaction type in a mix (e.g. TPC-C NewOrder).
@@ -94,7 +95,11 @@ func (p *Profile) Validate() error {
 	if w <= 0 {
 		return fmt.Errorf("workload %s: mix weights sum to zero", p.Name)
 	}
-	if p.MeasureFraction < 0 || p.MeasureFraction > 1 {
+	// A non-finite exponent would spin the Zipf sampler forever.
+	if math.IsNaN(p.Skew) || math.IsInf(p.Skew, 0) {
+		return fmt.Errorf("workload %s: skew %g is not finite", p.Name, p.Skew)
+	}
+	if math.IsNaN(p.MeasureFraction) || p.MeasureFraction < 0 || p.MeasureFraction > 1 {
 		return fmt.Errorf("workload %s: measure fraction %g outside [0,1]", p.Name, p.MeasureFraction)
 	}
 	return nil
